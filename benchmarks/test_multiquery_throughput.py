@@ -14,7 +14,7 @@ scenario at a larger scale.
 
 import pytest
 
-from repro.engine.config import CachePolicy, ExecutionConfig, QoS
+from repro.engine.config import CachePolicy, ElasticPolicy, ExecutionConfig, QoS
 from repro.engine.reference import ReferenceExecutor
 from repro.engine.scheduler import EngineServer, ResourceBudget, Tenant
 from repro.jit.cache import SharedCacheDirectory
@@ -208,9 +208,9 @@ class TestElasticThroughput:
     picks the dop with zero knowledge of what else will run) plus six
     short interactive queries arriving open-loop with a latency SLO —
     served twice at logical SF30: once with the worker set fixed at
-    admission, once with ``elastic=True`` so the scheduler grows
-    under-utilized queries' remaining waves (bounded by ``max_dop`` and
-    the budget) and shrinks contended ones.  Elastic mode must deliver
+    admission, once with ``elastic=ElasticPolicy(max_dop=8)`` so the
+    scheduler grows under-utilized queries' remaining waves (bounded by
+    ``max_dop`` and the budget) and shrinks contended ones.  Elastic mode must deliver
     strictly higher *batch* throughput while the interactive p99 does
     not regress, and every completed query must still match the
     reference executor exactly.
@@ -224,7 +224,7 @@ class TestElasticThroughput:
             compile_seconds=0.0,
         )
         if elastic:
-            kwargs.update(elastic=True, max_dop=8)
+            kwargs.update(elastic=ElasticPolicy(max_dop=8))
         server = EngineServer(**kwargs)
         load_ssb(server.engine, tables=tables, logical_sf=ELASTIC_LOGICAL_SF)
         background = ExecutionConfig.cpu_only(3, block_tuples=settings.block_tuples)

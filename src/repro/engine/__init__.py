@@ -29,13 +29,7 @@ Correctness for every tier is anchored by
 NumPy interpreter used as the differential-testing oracle.
 """
 
-from .config import (
-    CachePolicy,
-    ElasticPolicy,
-    ExecutionConfig,
-    MetricsPolicy,
-    QoS,
-)
+from .config import CachePolicy, ElasticPolicy, ExecutionConfig, QoS
 from .executor import Executor, QueryError, RawExecution
 from .faults import (
     DeviceLossFault,
@@ -65,7 +59,6 @@ __all__ = [
     "CachePolicy",
     "ElasticPolicy",
     "ExecutionConfig",
-    "MetricsPolicy",
     "QoS",
     "Tenant",
     "RateLimit",

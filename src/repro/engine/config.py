@@ -20,19 +20,17 @@ one submission (priority class + latency SLO), as opposed to the
 ranks its admission queue by priority, then earliest deadline.
 
 :class:`ElasticPolicy` parameterises the server's elastic-dop controller:
-with ``EngineServer(elastic=True)`` the scheduler may shrink or grow a
-query's CPU worker set between phases, within ``[min_dop, max_dop]``,
-driven by the observed DRAM utilization against ``target_utilization``.
+with ``EngineServer(elastic=ElasticPolicy(...))`` the scheduler may
+shrink or grow a query's CPU worker set between phases, within
+``[min_dop, max_dop]``, driven by the observed DRAM utilization against
+``target_utilization``.
 
 :class:`CachePolicy` parameterises the compiled-pipeline cache the same
 way: capacity, the eviction policy (``lru`` / ``lfu`` / the GDSF-style
 ``cost_aware`` that keeps expensive-to-compile GPU pipelines resident
 longer), and how many hot entries per-batch cache reports list.
 
-:class:`MetricsPolicy` parameterises the server's observability surface
-(:mod:`repro.engine.metrics`): how often the off-hot-path writer drains
-its event queue, and the latency histogram buckets.  The *tenant*
-contract itself (weights, quotas, rate limits) lives in
+The *tenant* contract (weights, quotas, rate limits) lives in
 :class:`repro.engine.tenancy.Tenant`, re-exported here alongside the
 other per-submission knobs.
 """
@@ -45,14 +43,12 @@ from typing import Optional, Sequence
 from ..core.mem_move import DEFAULT_PREFETCH_DEPTH, PATH_POLICIES
 from ..hardware.topology import DeviceType
 from ..jit.cache import EVICTION_POLICIES
-from .metrics import DEFAULT_LATENCY_BUCKETS
 from .tenancy import RateLimit, Tenant
 
 __all__ = [
     "ExecutionConfig",
     "CachePolicy",
     "ElasticPolicy",
-    "MetricsPolicy",
     "QoS",
     "RateLimit",
     "Tenant",
@@ -191,30 +187,6 @@ class CachePolicy:
             raise ValueError("top_entries must be >= 0")
 
     def derive(self, **overrides) -> "CachePolicy":
-        return replace(self, **overrides)
-
-
-@dataclass(frozen=True)
-class MetricsPolicy:
-    """Knobs of the server's metrics surface.
-
-    ``sample_interval_seconds`` is the simulated-time cadence of the
-    off-hot-path queue-drain writer (hot paths only append raw events;
-    the writer folds them into the registry and samples the utilization
-    and budget gauges).  ``latency_buckets`` are the upper bounds of the
-    query-latency histograms (+Inf is implicit).
-    """
-
-    sample_interval_seconds: float = 0.25
-    latency_buckets: tuple[float, ...] = DEFAULT_LATENCY_BUCKETS
-
-    def __post_init__(self):
-        if self.sample_interval_seconds <= 0:
-            raise ValueError("sample_interval_seconds must be positive")
-        if not self.latency_buckets:
-            raise ValueError("latency_buckets must be non-empty")
-
-    def derive(self, **overrides) -> "MetricsPolicy":
         return replace(self, **overrides)
 
 

@@ -116,8 +116,11 @@ class ShardMap:
     Backend ``b`` holds shard ``b % num_shards``, so with
     ``num_servers=4, num_shards=2`` shard 0 lives on backends 0 and 2
     and shard 1 on backends 1 and 3.  Range (not hash) sharding keeps
-    shard-order concatenation equal to table order, which is what makes
-    un-aggregated LIMIT results byte-identical to a single server.
+    shard-order concatenation equal to table order, so an un-aggregated
+    LIMIT whose backends each emit rows in table order (one consumer
+    per scan) gathers exactly the reference rows.  With several workers
+    a bare LIMIT keeps the first rows in arrival order, on a single
+    server as on the fleet.
     """
 
     num_servers: int
@@ -148,9 +151,6 @@ class ShardMap:
             raise ValueError(f"shard {shard} out of range [0, {self.num_shards})")
         return tuple(b for b in range(self.num_servers) if b % self.num_shards == shard)
 
-    def replication_of(self, shard: int) -> int:
-        return len(self.replicas(shard))
-
     def row_range(self, shard: int, num_rows: int) -> tuple[int, int]:
         """Half-open row range of ``shard`` in a ``num_rows`` fact table."""
         if not 0 <= shard < self.num_shards:
@@ -180,7 +180,7 @@ class FleetServer:
     dispatches: int = 0
 
     def stalled(self, now: float) -> bool:
-        return any(start <= now < end for start, end in self.stall_windows)
+        return self.stall_end(now) is not None
 
     def stall_end(self, now: float) -> Optional[float]:
         """End of the stall window covering ``now``, or None."""
@@ -307,6 +307,21 @@ class _ResultShape:
     limit: Optional[int]
 
 
+@dataclass
+class _Hop:
+    """One dispatch of a fleet attempt: the primary, or its hedge."""
+
+    #: the FallbackChain hop this dispatch resolves
+    handle: int
+    fs: FleetServer
+    #: "primary" | "hedge"
+    kind: str
+    #: when a partition-parked dispatch may be submitted
+    ready_at: float
+    #: the backend session (or refused-edge stand-in); None while parked
+    session: QuerySession | _FailedEdge | None = None
+
+
 class EngineFleet:
     """N sharded/replicated engine servers behind a failover dispatcher.
 
@@ -317,6 +332,18 @@ class EngineFleet:
     :meth:`run` drives them all: scatter per shard, failover per the
     :class:`~repro.engine.failover.FailoverPolicy`, gather + merge, one
     :class:`FleetReport`.
+
+    Knobs: ``num_servers`` backends with every fact-table shard on at
+    least ``replication`` of them; ``failover``
+    (:class:`~repro.engine.failover.FailoverPolicy`: attempts, backoff,
+    dispatch watchdog, hedging); ``breaker``
+    (:class:`~repro.engine.failover.BreakerPolicy`) for every backend's
+    circuit breaker, driven by health probes every
+    ``probe_interval_seconds``; ``server_kwargs`` for each backend's
+    :class:`~repro.engine.scheduler.EngineServer`; and any
+    :class:`~repro.engine.proteus.Proteus` keyword for each backend's
+    engine.  The fleet's metric families live on its own
+    :attr:`metrics` registry.
 
     ``fault_plan`` arms the *fleet-scope* entries
     (:attr:`~repro.engine.faults.FaultPlan.server_losses` /
@@ -336,12 +363,10 @@ class EngineFleet:
         num_servers: int = 4,
         *,
         replication: int = 2,
-        num_shards: Optional[int] = None,
         failover: Optional[FailoverPolicy] = None,
         breaker: Optional[BreakerPolicy] = None,
         probe_interval_seconds: float = 0.0025,
         fault_plan: Optional[FaultPlan] = None,
-        metrics: Optional[MetricsRegistry] = None,
         server_kwargs: Optional[dict] = None,
         **engine_kwargs: Any,
     ):
@@ -349,11 +374,7 @@ class EngineFleet:
             raise ValueError("probe_interval_seconds must be positive")
         self.sim = Simulator()
         self._clock = lambda: self.sim.now
-        self.shard_map = (
-            ShardMap(num_servers, num_shards)
-            if num_shards is not None
-            else ShardMap.with_replication(num_servers, replication)
-        )
+        self.shard_map = ShardMap.with_replication(num_servers, replication)
         self.failover = failover or FailoverPolicy()
         self.breaker_policy = breaker or BreakerPolicy()
         self.probe_interval_seconds = probe_interval_seconds
@@ -384,10 +405,11 @@ class EngineFleet:
         #: fleet-scope chaos/breaker events, in simulated-time order
         self.events: list[dict] = []
         self._fired_losses = 0
-        self.metrics: MetricsRegistry = metrics or MetricsRegistry()
+        self.metrics = MetricsRegistry()
         self._metric_families()
-        self._pump = MetricsPump(self.sim, self._fold_metric,
-                                 sample_gauges=self._sample_gauges)
+        self._pump = MetricsPump(
+            self.sim, self._fold_metric, sample_gauges=self._sample_gauges
+        )
         self._apply_stall_windows()
 
     @property
@@ -517,16 +539,6 @@ class EngineFleet:
         self._next_id += 1
         self._queries.append(query)
         return query
-
-    def submit_batch(
-        self,
-        items: Sequence[tuple[Plan, ExecutionConfig]],
-        names: Optional[Sequence[str]] = None,
-    ) -> list[FleetQuery]:
-        return [
-            self.submit(plan, config, name=names[i] if names else None)
-            for i, (plan, config) in enumerate(items)
-        ]
 
     # -- chaos arming ------------------------------------------------------
 
@@ -796,25 +808,6 @@ class EngineFleet:
             self._pump.emit("failover", outcome=outcome)
             tried.add(fs.index)
 
-    def _open_hop(self, chain: FallbackChain, fs: FleetServer) -> int:
-        fs.inflight += 1
-        fs.dispatches += 1
-        self._pump.emit("dispatch", server=fs.name)
-        return chain.begin_attempt(fs.name)
-
-    def _submit_to(
-        self, fs: FleetServer, query: FleetQuery, shard: Optional[int]
-    ) -> tuple[Optional[QuerySession], Optional[BaseException]]:
-        plan = query.plan if shard is None else self._scatter_plan(query.plan)
-        where = "" if shard is None else f"/s{shard}"
-        try:
-            session = fs.server.submit(
-                plan, query.config, name=f"{query.name}{where}@{fs.name}"
-            )
-        except AdmissionError as error:
-            return None, error
-        return session, None
-
     def _run_attempt(
         self,
         query: FleetQuery,
@@ -828,7 +821,8 @@ class EngineFleet:
         Yields simulated waits; returns ``(outcome, payload)`` where the
         payload is the shard QueryResult on ``"ok"`` and the typed
         exception (or None) otherwise.  Every hop opened here is
-        resolved here, on every path — the RP007 contract.
+        resolved here, on every path, through :meth:`_close` — the
+        RP007 contract.
         """
         policy = self.failover
         start = self.sim.now
@@ -842,103 +836,83 @@ class EngineFleet:
             if policy.hedge_delay_seconds is not None
             else None
         )
-        # entries: one dict per dispatched (or partition-parked) hop
-        entries: list[dict] = [self._launch(query, shard, chain, fs, "primary")]
+        hops = [self._launch(query, shard, chain, fs, "primary")]
         failures: list[tuple[str, Optional[BaseException]]] = []
         while True:
             # 1. reap finished sessions (winner first, then failures)
-            done = [
-                e for e in entries if e["session"] is not None and e["session"].finished
-            ]
-            winner = next((e for e in done if e["session"].status == "done"), None)
+            done = [h for h in hops if h.session is not None and h.session.finished]
+            winner = next((h for h in done if h.session.status == "done"), None)
             if winner is not None:
-                session = winner["session"]
-                chain.resolve(winner["hop"], "ok")
-                winner["fs"].breaker.record_success()
-                winner["fs"].inflight -= 1
-                if winner["kind"] == "hedge":
+                if winner.kind == "hedge":
                     query.hedge_wins += 1
-                    self._pump.emit("hedge", result="win")
-                for loser in entries:
+                self._close(chain, winner, "ok")
+                for loser in hops:
                     if loser is winner:
                         continue
-                    if loser["session"] is not None and not loser["session"].finished:
+                    if loser.session is not None and not loser.session.finished:
                         # first response wins: cancelling runs the
                         # loser's driver finally, which conserves its
                         # budget and staging credits
-                        loser["fs"].server.cancel(
-                            loser["session"], "hedged: first response won"
+                        loser.fs.server.cancel(
+                            loser.session, "hedged: first response won"
                         )
-                    chain.resolve(loser["hop"], "hedge_loser")
-                    loser["fs"].inflight -= 1
-                    if loser["kind"] == "hedge":
-                        self._pump.emit("hedge", result="loss")
-                return "ok", session.result
-            for entry in done:
-                session = entry["session"]
+                    self._close(chain, loser, "hedge_loser")
+                return "ok", winner.session.result
+            for hop in done:
+                session = hop.session
                 outcome = session.error_class or (
                     "shed" if session.status == "shed" else "fatal"
                 )
-                chain.resolve(entry["hop"], outcome)
-                entry["fs"].inflight -= 1
-                if outcome in _BREAKER_CLASSES:
-                    entry["fs"].breaker.record_failure()
-                if entry["kind"] == "hedge":
-                    self._pump.emit("hedge", result="loss")
+                self._close(chain, hop, outcome)
                 failures.append((outcome, session.error))
-                entries.remove(entry)
-            if not entries:
+                hops.remove(hop)
+            if not hops:
                 # every dispatch of this hop failed; the primary's
                 # outcome steers the failover loop
                 return failures[0]
             now = self.sim.now
             # 2. watchdog: cancel whatever is still unresolved, typed
             if deadline is not None and now >= deadline - 1e-12:
-                for entry in entries:
+                for hop in hops:
                     cause = ServerStallTimeout(
-                        f"dispatch to {entry['fs'].name} unresolved after "
+                        f"dispatch to {hop.fs.name} unresolved after "
                         f"{policy.dispatch_timeout_seconds:g}s"
                     )
-                    if entry["session"] is not None:
-                        entry["fs"].server.cancel(entry["session"], cause)
+                    if hop.session is not None:
+                        hop.fs.server.cancel(hop.session, cause)
                     else:
                         # the dispatch is parked inside the partition:
                         # it never reached the backend, so there is
                         # nothing to cancel — fail the hop directly
-                        chain.resolve(entry["hop"], "stall_timeout")
-                        entry["fs"].inflight -= 1
-                        entry["fs"].breaker.record_failure()
-                        if entry["kind"] == "hedge":
-                            self._pump.emit("hedge", result="loss")
+                        self._close(chain, hop, "stall_timeout")
                         failures.append(("stall_timeout", cause))
-                live = [e for e in entries if e["session"] is not None]
-                entries = live
+                hops = [h for h in hops if h.session is not None]
                 deadline = None
-                if not entries:
+                if not hops:
                     return failures[0]
                 # let the cancelled drivers unwind (their finally
                 # blocks run at the current instant) before reaping
-                yield self.sim.all_of([e["session"].done for e in entries])
+                yield self.sim.all_of([h.session.done for h in hops])
                 continue
             # 3. submit partition-parked dispatches whose window lifted
-            activated = False
-            for entry in entries:
-                if entry["session"] is None and now >= entry["ready_at"] - 1e-12:
-                    self._activate_entry(query, shard, entry)
-                    activated = True
-            if activated:
+            ready = [
+                h for h in hops if h.session is None and now >= h.ready_at - 1e-12
+            ]
+            for hop in ready:
+                self._submit(query, shard, hop)
+            if ready:
                 continue  # reap immediately (the submit may have failed)
             # 4. hedge: one extra dispatch on the next replica
             if hedge_at is not None and now >= hedge_at - 1e-12:
                 hedge_at = None
-                exclude = tried | {e["fs"].index for e in entries}
+                exclude = tried | {h.fs.index for h in hops}
                 hfs = self._route(shard, exclude)
                 if hfs is not None and not chain.exhausted:
-                    entries.append(self._launch(query, shard, chain, hfs, "hedge"))
+                    hops.append(self._launch(query, shard, chain, hfs, "hedge"))
                     continue  # reap immediately (the hedge may be shed)
             # 5. park until the next signal
-            waits = [e["session"].done for e in entries if e["session"] is not None]
-            horizons = [e["ready_at"] for e in entries if e["session"] is None]
+            waits = [h.session.done for h in hops if h.session is not None]
+            horizons = [h.ready_at for h in hops if h.session is None]
             if deadline is not None:
                 horizons.append(deadline)
             if hedge_at is not None:
@@ -954,36 +928,46 @@ class EngineFleet:
         chain: FallbackChain,
         fs: FleetServer,
         kind: str,
-    ) -> dict:
+    ) -> _Hop:
         """Open a hop on ``fs`` and submit — or park on its partition."""
-        entry: dict = {
-            "hop": self._open_hop(chain, fs),
-            "fs": fs,
-            "session": None,
-            "kind": kind,
-            "ready_at": self.sim.now,
-        }
+        fs.inflight += 1
+        fs.dispatches += 1
+        self._pump.emit("dispatch", server=fs.name)
+        hop = _Hop(chain.begin_attempt(fs.name), fs, kind, ready_at=self.sim.now)
         stall_end = fs.stall_end(self.sim.now)
         if stall_end is not None:
             # control-plane partition: the dispatch hangs at the fleet
             # edge until the window lifts (or the watchdog kills it)
-            entry["ready_at"] = stall_end
-            return entry
-        self._activate_entry(query, shard, entry)
-        return entry
+            hop.ready_at = stall_end
+        else:
+            self._submit(query, shard, hop)
+        return hop
 
-    def _activate_entry(
-        self, query: FleetQuery, shard: Optional[int], entry: dict
-    ) -> None:
+    def _submit(self, query: FleetQuery, shard: Optional[int], hop: _Hop) -> None:
         """Submit a hop's session.  An edge refusal (AdmissionError: the
         demand can never fit, identically on every replica) becomes an
         already-terminal stand-in session, so the reap loop resolves the
         hop through the one shared path."""
-        session, error = self._submit_to(entry["fs"], query, shard)
-        if session is None:
-            entry["session"] = _FailedEdge(classify_failure(error)[0], error)
-            return
-        entry["session"] = session
+        plan = query.plan if shard is None else self._scatter_plan(query.plan)
+        where = "" if shard is None else f"/s{shard}"
+        try:
+            hop.session = hop.fs.server.submit(
+                plan, query.config, name=f"{query.name}{where}@{hop.fs.name}"
+            )
+        except AdmissionError as error:
+            hop.session = _FailedEdge(classify_failure(error)[0], error)
+
+    def _close(self, chain: FallbackChain, hop: _Hop, outcome: str) -> None:
+        """The one close path of a hop: resolve its typed outcome, drop
+        its backend's load, feed the breaker, count a hedge's result."""
+        chain.resolve(hop.handle, outcome)
+        hop.fs.inflight -= 1
+        if outcome == "ok":
+            hop.fs.breaker.record_success()
+        elif outcome in _BREAKER_CLASSES:
+            hop.fs.breaker.record_failure()
+        if hop.kind == "hedge":
+            self._pump.emit("hedge", result="win" if outcome == "ok" else "loss")
 
     # -- gather + merge ----------------------------------------------------
 

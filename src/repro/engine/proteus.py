@@ -42,10 +42,6 @@ from .results import QueryResult
 
 __all__ = ["Proteus"]
 
-#: sentinel distinguishing "caller never passed pipeline_cache_capacity"
-#: from an explicit value (None is itself meaningful: cache disabled)
-_UNSET: object = object()
-
 
 class Proteus:
     """A heterogeneous analytical query engine on a simulated server.
@@ -55,14 +51,19 @@ class Proteus:
     for a dashboard re-issuing SSB queries) reuse the compiled pipeline
     instead of recompiling.  ``cache_policy``
     (:class:`~repro.engine.config.CachePolicy`) selects capacity and the
-    eviction policy (``lru`` / ``lfu`` / ``cost_aware``);
-    ``pipeline_cache_capacity`` remains as the capacity-only shorthand
-    (pass ``None`` to disable caching entirely).  ``shared_cache``
-    attaches this engine's cache to a cross-server
+    eviction policy (``lru`` / ``lfu`` / ``cost_aware``); ``None``
+    disables caching entirely.  ``shared_cache`` attaches this engine's
+    cache to a cross-server
     :class:`~repro.jit.cache.SharedCacheDirectory`: L1 misses fall back
     to the directory (promoting hits), fresh compilations publish into
     it, and evicted entries stay fetchable there — so a fleet of engines
     compiles each pipeline shape roughly once.
+
+    The remaining knobs: ``spec`` (the simulated server, the paper's
+    machine by default), ``tuning`` (engine cost constants),
+    ``segment_rows`` (catalog segment size), ``logical_scale`` (the
+    logical-byte multiplier timings are priced at) and ``sim`` (an
+    external simulator, so several engines share one clock).
     """
 
     def __init__(
@@ -71,8 +72,7 @@ class Proteus:
         tuning: EngineTuning = PROTEUS_TUNING,
         segment_rows: int = 1 << 20,
         logical_scale: float = 1.0,
-        pipeline_cache_capacity: Optional[int] = _UNSET,  # default: 128
-        cache_policy: Optional[CachePolicy] = None,
+        cache_policy: Optional[CachePolicy] = CachePolicy(),
         shared_cache: Optional[SharedCacheDirectory] = None,
         sim: Optional[Simulator] = None,
     ):
@@ -86,24 +86,10 @@ class Proteus:
         self.cost = CostModel(self.server.spec, tuning)
         self.logical_scale = logical_scale
         self.placer = HeterogeneousPlacer(self.server, self.catalog)
-        if cache_policy is not None and pipeline_cache_capacity is not _UNSET:
-            # sentinel, not a default-value comparison: an explicitly
-            # passed =128 (or =None) alongside cache_policy is the same
-            # ambiguity as any other pair of conflicting knobs
-            raise ValueError(
-                "pass either cache_policy= or the pipeline_cache_capacity "
-                "shorthand, not both"
-            )
-        if pipeline_cache_capacity is _UNSET:
-            pipeline_cache_capacity = 128
-        if cache_policy is None and pipeline_cache_capacity is not None:
-            # `is not None`, not truthiness: capacity 0 must raise (inside
-            # CachePolicy), not silently disable caching.
-            cache_policy = CachePolicy(capacity=pipeline_cache_capacity)
         if cache_policy is None and shared_cache is not None:
             raise ValueError(
                 "shared_cache requires an enabled pipeline cache "
-                "(cache_policy or pipeline_cache_capacity)"
+                "(cache_policy=None disables it)"
             )
         self.cache_policy = cache_policy
         self.pipeline_cache = (

@@ -38,10 +38,10 @@ re-entrant executor:
   its final phase has no remaining checkpoint, so preempting it is a
   no-op (the scheduler never even asks: it consults
   :meth:`~repro.engine.executor.Executor.checkpoints_remaining`);
-* **elastic degree of parallelism**: with ``elastic=True`` the server
-  revisits each running query's CPU worker set at every phase boundary
-  (the same checkpoints preemption uses).  A sliding-window utilization
-  sample over the simulator's shared resources
+* **elastic degree of parallelism**: with ``elastic=ElasticPolicy()``
+  the server revisits each running query's CPU worker set at every
+  phase boundary (the same checkpoints preemption uses).  A
+  sliding-window utilization sample over the simulator's shared resources
   (:attr:`~repro.hardware.resources.FifoResource.busy_time` /
   :attr:`~repro.hardware.resources.BandwidthResource.busy_time`, both of
   which include the open in-flight interval) drives the decision: a
@@ -97,7 +97,7 @@ from ..hardware.costmodel import DEFAULT_COMPILE_SECONDS, QueryDemand
 from ..hardware.sim import Event, Interrupt
 from ..hardware.topology import DeviceType, Server
 from ..storage.table import Placement, Table
-from .config import ElasticPolicy, ExecutionConfig, MetricsPolicy, QoS
+from .config import ElasticPolicy, ExecutionConfig, QoS
 from .faults import FaultInjector, FaultPlan, RetryPolicy, classify_failure
 from .metrics import MetricsPump, MetricsRegistry
 from .proteus import Proteus
@@ -122,12 +122,7 @@ __all__ = [
     "RetryPolicy",
     "RateLimit",
     "Tenant",
-    "DEFAULT_COMPILE_SECONDS",
 ]
-
-# DEFAULT_COMPILE_SECONDS now lives in repro.hardware.costmodel (the
-# per-device compile-cost model scales it); re-exported here because the
-# scheduler's compile_seconds knob is where callers historically found it.
 
 #: budget dimensions — derived from QueryDemand so the two modules cannot
 #: silently diverge when a dimension is added or removed (QueryDemand's
@@ -700,13 +695,6 @@ class BatchReport:
         values = list(self.latencies.values())
         return sum(values) / len(values) if values else 0.0
 
-    def by_tenant(self) -> dict[str, list[QuerySession]]:
-        """Sessions grouped by tenant label (untenanted -> 'default')."""
-        groups: dict[str, list[QuerySession]] = {}
-        for session in self.sessions:
-            groups.setdefault(session.tenant or "default", []).append(session)
-        return groups
-
     def by_class(self) -> dict[str, list[QuerySession]]:
         """Sessions grouped by their QoS label, in priority order."""
         groups: dict[str, list[QuerySession]] = {}
@@ -863,6 +851,10 @@ class EngineServer:
 
     Scheduling knobs:
 
+    * ``budget``: the admission :class:`ResourceBudget` (default:
+      derived from the server's spec); ``max_concurrent``: the cap on
+      admitted sessions; ``compile_seconds``: the base simulated
+      compile latency a pipeline-cache miss is charged.
     * ``admission="sla"`` (default): the admission queue is ordered by
       priority class then earliest deadline; small queries backfill past
       a blocked head when their demand fits the remaining budget, and
@@ -879,14 +871,13 @@ class EngineServer:
       admitted) sessions; submissions beyond it are shed, which is how
       an open-loop arrival stream is kept from growing the queue without
       bound at overload.  ``None`` means unbounded (closed-loop safe).
-    * ``elastic``: enable the elastic-dop controller — at every phase
-      boundary a running query's CPU worker set may be shrunk (socket
-      DRAM contended beyond ``target_utilization``) or grown (server
-      under-utilized) for its remaining waves, within
-      ``[min_dop, max_dop]`` and the budget's remaining cores.  The
-      ``min_dop``/``max_dop``/``target_utilization`` shorthands build an
-      :class:`~repro.engine.config.ElasticPolicy`; pass ``elastic_policy``
-      instead for the full knob set (mutually exclusive).
+    * ``elastic``: an :class:`~repro.engine.config.ElasticPolicy`
+      enables the elastic-dop controller — at every phase boundary a
+      running query's CPU worker set may be shrunk (socket DRAM
+      contended beyond the policy's ``target_utilization``) or grown
+      (server under-utilized) for its remaining waves, within
+      ``[min_dop, max_dop]`` and the budget's remaining cores.  ``None``
+      (the default) keeps every query at its admitted dop.
 
     Tenancy knobs: ``tenants=[Tenant("acme", weight=2.0,
     compute_quota=0.5, rate_limit=RateLimit(rate_qps=10))]`` registers
@@ -903,21 +894,19 @@ class EngineServer:
     ``retry_after`` hint.  A waiter blocked on its *own* tenant quota
     never triggers preemption of other tenants' queries.
 
-    Observability: the server owns a
-    :class:`~repro.engine.metrics.MetricsRegistry` (pass ``metrics=`` to
-    share one across servers, ``metrics_policy=`` for sampling knobs).
-    Hot paths only ``emit`` raw events; a
-    :class:`~repro.engine.metrics.MetricsPump` DES process drains them
-    into the registry off the hot path, and every drive ends with a
+    Observability: the server's metric families live on its engine's
+    :class:`~repro.engine.metrics.MetricsRegistry` (``engine.metrics``,
+    shared by every server over that engine).  Hot paths only ``emit``
+    raw events; a :class:`~repro.engine.metrics.MetricsPump` DES process
+    drains them into the registry off the hot path, and every drive ends with a
     synchronous drain so :attr:`BatchReport.metrics` is complete and
     deterministic.  :meth:`metrics_text` renders the Prometheus text
     exposition.
 
-    Cache knobs travel with the engine: construct the server with
-    ``cache_policy=CachePolicy(capacity, eviction="cost_aware", ...)``
-    and/or ``shared_cache=SharedCacheDirectory(...)`` (forwarded to
-    :class:`~repro.engine.proteus.Proteus` like any engine kwarg) to
-    select eviction and attach the server to a cross-server cache tier.
+    Engine knobs travel with the engine: pass an existing ``engine``,
+    or any :class:`~repro.engine.proteus.Proteus` keyword (for example
+    ``cache_policy=CachePolicy(capacity, eviction="cost_aware")`` or
+    ``shared_cache=SharedCacheDirectory(...)``) to build a fresh one.
 
     Chaos knobs: ``fault_plan=FaultPlan(...)`` arms seeded fault
     injection (device loss, DMA stragglers, spurious aborts) for the
@@ -941,16 +930,10 @@ class EngineServer:
         preemption: bool = True,
         backfill_limit: Optional[int] = 64,
         max_queue_depth: Optional[int] = None,
-        elastic: bool = False,
-        elastic_policy: Optional[ElasticPolicy] = None,
-        min_dop: Optional[int] = None,
-        max_dop: Optional[int] = None,
-        target_utilization: Optional[float] = None,
+        elastic: Optional[ElasticPolicy] = None,
         fault_plan: Optional[FaultPlan] = None,
         retry_policy: Optional[RetryPolicy] = None,
         tenants: Optional[Sequence[Tenant]] = None,
-        metrics: Optional[MetricsRegistry] = None,
-        metrics_policy: Optional[MetricsPolicy] = None,
         **engine_kwargs: Any,
     ):
         if max_concurrent < 1:
@@ -961,32 +944,10 @@ class EngineServer:
             raise ValueError("backfill_limit must be >= 0 (or None)")
         if max_queue_depth is not None and max_queue_depth < 1:
             raise ValueError("max_queue_depth must be >= 1 (or None)")
-        if elastic_policy is not None and any(
-            knob is not None for knob in (min_dop, max_dop, target_utilization)
-        ):
-            raise ValueError(
-                "pass either elastic_policy= or the min_dop/max_dop/"
-                "target_utilization shorthands, not both"
+        if elastic is not None and not isinstance(elastic, ElasticPolicy):
+            raise TypeError(
+                f"elastic must be an ElasticPolicy or None, got {elastic!r}"
             )
-        if not elastic and (
-            elastic_policy is not None
-            or any(knob is not None for knob in (min_dop, max_dop, target_utilization))
-        ):
-            # knobs without the switch would be silently inert: the
-            # caller believes elasticity is active and gets fixed dop
-            raise ValueError(
-                "elastic_policy/min_dop/max_dop/target_utilization have no "
-                "effect without elastic=True"
-            )
-        if elastic_policy is None:
-            overrides: dict[str, Any] = {}
-            if min_dop is not None:
-                overrides["min_dop"] = min_dop
-            if max_dop is not None:
-                overrides["max_dop"] = max_dop
-            if target_utilization is not None:
-                overrides["target_utilization"] = target_utilization
-            elastic_policy = ElasticPolicy(**overrides)
         if engine is not None and engine_kwargs:
             raise ValueError(
                 f"engine kwargs {sorted(engine_kwargs)} have no effect when "
@@ -1007,11 +968,10 @@ class EngineServer:
         self.preemption = preemption and admission == "sla"
         self.backfill_limit = backfill_limit
         self.max_queue_depth = max_queue_depth
+        #: the elastic-dop controller's policy; None means fixed dop
         self.elastic = elastic
-        self.elastic_policy = elastic_policy
-        self._monitor = _UtilizationMonitor(
-            self.sim, self.server, elastic_policy.window_seconds
-        )
+        window_seconds = (elastic or ElasticPolicy()).window_seconds
+        self._monitor = _UtilizationMonitor(self.sim, self.server, window_seconds)
         self.sessions: list[QuerySession] = []
         self._pending: list[QuerySession] = []
         self._paused: list[QuerySession] = []
@@ -1054,25 +1014,17 @@ class EngineServer:
             self.tenant_states[tenant.name] = state
             self._tenant_order.append(tenant.name)
         self._drr = DeficitRoundRobin()
-        self.metrics_policy = metrics_policy or MetricsPolicy()
-        #: the engine facade's registry by default, so two servers over
-        #: one engine share a surface; pass metrics= to override
-        self.metrics: MetricsRegistry = (
-            metrics
-            or getattr(self.engine, "metrics", None)
-            or MetricsRegistry()
-        )
+        #: the engine facade's registry, so two servers over one engine
+        #: share a surface
+        self.metrics: MetricsRegistry = self.engine.metrics
         self._metric_families()
         # the metrics gauges sample their own utilization monitor so the
         # pump's window closures never perturb the elastic controller's
         self._metrics_monitor = _UtilizationMonitor(
-            self.sim, self.server, elastic_policy.window_seconds
+            self.sim, self.server, window_seconds
         )
         self._pump = MetricsPump(
-            self.sim,
-            self._fold_metric,
-            sample_gauges=self._sample_gauges,
-            sample_interval=self.metrics_policy.sample_interval_seconds,
+            self.sim, self._fold_metric, sample_gauges=self._sample_gauges
         )
         #: armed fault injector, or None when the drive is fault-free
         self.faults: Optional[FaultInjector] = (
@@ -1106,13 +1058,18 @@ class EngineServer:
     def _tenant_budget_of(self, session: QuerySession) -> Optional[ResourceBudget]:
         return self.tenant_states[session.tenant].budget
 
+    def _budgets_of(self, session: QuerySession) -> list[ResourceBudget]:
+        """Every budget a charge for ``session`` moves through: the
+        shared budget, then the tenant quota mirror when one exists."""
+        tenant_budget = self._tenant_budget_of(session)
+        if tenant_budget is None:
+            return [self.budget]
+        return [self.budget, tenant_budget]
+
     def _fits_budgets(self, session: QuerySession, need: QueryDemand) -> bool:
         """Admission fit against the shared budget AND the session's
         tenant quota mirror (when the tenant is capped)."""
-        if not self.budget.fits(need):
-            return False
-        tenant_budget = self._tenant_budget_of(session)
-        return tenant_budget is None or tenant_budget.fits(need)
+        return all(budget.fits(need) for budget in self._budgets_of(session))
 
     def _unblocks(
         self,
@@ -1144,7 +1101,6 @@ class EngineServer:
         exposition's schema is stable from the first scrape — families
         exist with zero values before any traffic arrives."""
         registry = self.metrics
-        buckets = self.metrics_policy.latency_buckets
         self._m_sessions = registry.counter(
             "repro_sessions_total",
             "Sessions reaching a terminal state",
@@ -1154,13 +1110,11 @@ class EngineServer:
             "repro_query_latency_seconds",
             "End-to-end simulated latency of completed queries",
             labels=("tenant",),
-            buckets=buckets,
         )
         self._m_queue_wait = registry.histogram(
             "repro_queue_wait_seconds",
             "Simulated queueing delay from submission to admission",
             labels=("tenant",),
-            buckets=buckets,
         )
         self._m_preemptions = registry.counter(
             "repro_preemptions_total", "Phase-boundary preemptions"
@@ -1264,15 +1218,6 @@ class EngineServer:
 
     def register(self, table: Table, placement: Optional[Placement] = None) -> None:
         self.engine.register(table, placement)
-
-    def place_gpu_partitioned(self, name: str, seed: int = 0) -> None:
-        self.engine.place_gpu_partitioned(name, seed=seed)
-
-    def place_gpu_replicated(self, name: str) -> None:
-        self.engine.place_gpu_replicated(name)
-
-    def place_interleaved(self, name: str) -> None:
-        self.engine.place_interleaved(name)
 
     # -- submission --------------------------------------------------------
 
@@ -1391,20 +1336,6 @@ class EngineServer:
         )
         session.done.trigger(session)
         return session
-
-    def submit_batch(
-        self,
-        items: Sequence[tuple[Plan, ExecutionConfig]],
-        names: Optional[Sequence[str]] = None,
-        qos: Optional[QoS] = None,
-        tenant: Optional[str] = None,
-    ) -> list[QuerySession]:
-        return [
-            self.submit(
-                plan, config, name=names[i] if names else None, qos=qos, tenant=tenant
-            )
-            for i, (plan, config) in enumerate(items)
-        ]
 
     def spawn_client(
         self,
@@ -1644,10 +1575,8 @@ class EngineServer:
     def _activate(self, session: QuerySession) -> None:
         """Start a queued session or resume a paused one."""
         need = self._admission_need(session)
-        self.budget.allocate(need)
-        tenant_budget = self._tenant_budget_of(session)
-        if tenant_budget is not None:
-            tenant_budget.allocate(need)
+        for budget in self._budgets_of(session):
+            budget.allocate(need)
         self._charge_drr(session)
         if session.status != "paused":
             self.tenant_states[session.tenant].admitted += 1
@@ -1672,7 +1601,7 @@ class EngineServer:
             readmit.trigger(None)
             return
         session.admit_time = self.sim.now
-        if self.elastic and session.config.cpu_workers:
+        if self.elastic is not None and session.config.cpu_workers:
             session.dop_trajectory.append((self.sim.now, session.config.cpu_workers))
         driver = self._query_proc(session)
         self._drivers[session.query_id] = driver
@@ -1699,10 +1628,8 @@ class EngineServer:
         held, session.held_demand = session.held_demand, None
         session.holds_budget = False
         self._active_sessions.pop(session.query_id, None)
-        self.budget.release(held)
-        tenant_budget = self._tenant_budget_of(session)
-        if tenant_budget is not None:
-            tenant_budget.release(held)
+        for budget in self._budgets_of(session):
+            budget.release(held)
 
     def _preemptable(self, session: QuerySession) -> bool:
         """Can this running session still honour a preemption request?
@@ -1793,10 +1720,8 @@ class EngineServer:
             # compute share back to the pool; memory stays charged for
             # the hash tables resident in the suspended generator
             compute = _compute_share(session.demand)
-            self.budget.release(compute)
-            tenant_budget = self._tenant_budget_of(session)
-            if tenant_budget is not None:
-                tenant_budget.release(compute)
+            for budget in self._budgets_of(session):
+                budget.release(compute)
             session.held_demand = _memory_share(session.demand)
             self._active_sessions.pop(session.query_id, None)
             session.resume_event = self.sim.event(name=f"{session.tag}:resume")
@@ -1843,7 +1768,7 @@ class EngineServer:
         Growth is suppressed while a preemption campaign is in flight —
         the compute the victims free is reserved for the blocked waiter.
         """
-        policy = self.elastic_policy
+        policy = self.elastic
         config = session.current_config or session.config
         if config.bare or config.cpu_workers == 0:
             return None
@@ -1902,15 +1827,11 @@ class EngineServer:
         if target is None or target == config.cpu_workers:
             return None
         delta = target - config.cpu_workers
-        tenant_budget = self._tenant_budget_of(session)
-        if delta > 0:
-            self.budget.allocate(QueryDemand(cpu_cores=delta))
-            if tenant_budget is not None:
-                tenant_budget.allocate(QueryDemand(cpu_cores=delta))
-        else:
-            self.budget.release(QueryDemand(cpu_cores=-delta))
-            if tenant_budget is not None:
-                tenant_budget.release(QueryDemand(cpu_cores=-delta))
+        for budget in self._budgets_of(session):
+            if delta > 0:
+                budget.allocate(QueryDemand(cpu_cores=delta))
+            else:
+                budget.release(QueryDemand(cpu_cores=-delta))
         self._pump.emit("resize")
         new_config = config.derive(cpu_workers=target)
         affinity = self.placer.cpu_affinity(new_config)
@@ -1966,7 +1887,7 @@ class EngineServer:
                         checkpoint=self._make_checkpoint(session),
                         reconfigure=(
                             self._make_reconfigure(session)
-                            if self.elastic
+                            if self.elastic is not None
                             else None
                         ),
                     )
@@ -2188,6 +2109,10 @@ class EngineServer:
             for session in stuck:
                 if session in self._pending:
                     self._pending.remove(session)
+                # terminal status first: the driver's finally reports it
+                session.status = "failed"
+                session.error = SchedulerError(details)
+                session.error_class = "fatal"
                 driver = self._drivers.pop(session.query_id, None)
                 self._driver_procs.pop(session.query_id, None)
                 if driver is not None:
@@ -2197,9 +2122,6 @@ class EngineServer:
                     # — closing it here must not be duplicated by manual
                     # book-keeping.
                     driver.close()
-                session.status = "failed"
-                session.error = SchedulerError(details)
-                session.error_class = "fatal"
             problems.append(f"batch stalled: {details}")
         dead_clients = [p for p in self._clients if p.triggered and not p.ok]
         if dead_clients:

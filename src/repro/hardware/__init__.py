@@ -1,7 +1,9 @@
 """Simulated heterogeneous server: DES kernel, resources, topology, costs.
 
 The paper evaluates on a physical 2-socket Xeon + 2x GTX 1080 machine; this
-package is the calibrated substitute (see DESIGN.md section 2).
+package is the calibrated substitute: the machine's parameters are in
+:mod:`repro.hardware.specs` and the per-operation costs in
+:mod:`repro.hardware.costmodel`.
 """
 
 from .costmodel import (

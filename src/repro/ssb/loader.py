@@ -5,8 +5,9 @@ SF1000 (~600 GB).  This reproduction generates a small *physical* dataset
 and replays it through the cost model at the *logical* scale: each table's
 blocks carry ``logical_rows / physical_rows`` as their byte multiplier
 (per-table, because ``date`` is constant-size and ``part`` grows
-logarithmically).  All engines are scaled identically, so relative shapes
-are preserved (DESIGN.md section 5).
+logarithmically), recorded through
+:meth:`~repro.storage.catalog.Catalog.set_logical_scale`.  All engines are
+scaled identically, so relative shapes are preserved.
 """
 
 from __future__ import annotations

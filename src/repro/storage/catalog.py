@@ -35,7 +35,7 @@ class Catalog:
         self.placements: dict[str, Placement] = {}
         #: replicas: table -> node ids holding a full copy
         self.replicas: dict[str, set[str]] = {}
-        #: per-table logical byte multiplier (see DESIGN.md section 5):
+        #: per-table logical byte multiplier (set by repro.ssb.load_ssb):
         #: a physically small table replayed as an SF100-sized stream has
         #: scale = logical_rows / physical_rows
         self.logical_scales: dict[str, float] = {}

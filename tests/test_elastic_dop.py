@@ -49,8 +49,8 @@ def reference(tables):
     return {qid: ref.execute(ssb_query(qid)) for qid in SSB_QUERY_IDS}
 
 
-def _server(tables, **kwargs) -> EngineServer:
-    server = EngineServer(segment_rows=2048, elastic=True, **kwargs)
+def _server(tables, elastic=ElasticPolicy(), **kwargs) -> EngineServer:
+    server = EngineServer(segment_rows=2048, elastic=elastic, **kwargs)
     load_ssb(server.engine, tables=tables)
     return server
 
@@ -66,7 +66,7 @@ class TestDifferentialCorrectness:
     """Elastic results == solo reference results, for all 13 queries."""
 
     def test_shrink_mid_query_matches_reference(self, tables, reference):
-        server = _server(tables, max_concurrent=3, elastic_policy=ALWAYS_SHRINK)
+        server = _server(tables, max_concurrent=3, elastic=ALWAYS_SHRINK)
         config = ExecutionConfig.cpu_only(6, block_tuples=4096)
         sessions = _submit_all(server, config, SSB_QUERY_IDS)
         report = server.run()
@@ -82,7 +82,7 @@ class TestDifferentialCorrectness:
         server.check_conservation()
 
     def test_grow_mid_query_matches_reference(self, tables, reference):
-        server = _server(tables, max_concurrent=2, elastic_policy=ALWAYS_GROW)
+        server = _server(tables, max_concurrent=2, elastic=ALWAYS_GROW)
         config = ExecutionConfig.cpu_only(2, block_tuples=4096)
         sessions = _submit_all(server, config, SSB_QUERY_IDS)
         report = server.run()
@@ -100,7 +100,7 @@ class TestDifferentialCorrectness:
     def test_hybrid_queries_resize_cpu_side_only(self, tables, reference):
         """GPU stages are pinned to the hash-table domains built in
         earlier phases; only the CPU worker set is elastic."""
-        server = _server(tables, max_concurrent=2, elastic_policy=ALWAYS_SHRINK)
+        server = _server(tables, max_concurrent=2, elastic=ALWAYS_SHRINK)
         config = ExecutionConfig.hybrid(6, [0, 1], block_tuples=4096)
         sessions = _submit_all(server, config, SSB_QUERY_IDS[:6])
         report = server.run()
@@ -114,7 +114,7 @@ class TestDifferentialCorrectness:
         server.check_conservation()
 
     def test_gpu_only_queries_are_never_resized(self, tables, reference):
-        server = _server(tables, max_concurrent=2, elastic_policy=ALWAYS_GROW)
+        server = _server(tables, max_concurrent=2, elastic=ALWAYS_GROW)
         config = ExecutionConfig.gpu_only([0, 1], block_tuples=4096)
         sessions = _submit_all(server, config, SSB_QUERY_IDS[:4])
         report = server.run()
@@ -136,7 +136,7 @@ class TestClamping:
             ALWAYS_GROW.derive(min_dop=4, max_dop=4),
         )
         for policy in policies:
-            server = _server(tables, max_concurrent=2, elastic_policy=policy)
+            server = _server(tables, max_concurrent=2, elastic=policy)
             config = ExecutionConfig.cpu_only(4, block_tuples=4096)
             sessions = _submit_all(server, config, SSB_QUERY_IDS[:4])
             report = server.run()
@@ -152,7 +152,7 @@ class TestClamping:
         server = _server(
             tables,
             max_concurrent=2,
-            elastic_policy=ALWAYS_SHRINK.derive(min_dop=3),
+            elastic=ALWAYS_SHRINK.derive(min_dop=3),
         )
         config = ExecutionConfig.cpu_only(6, block_tuples=4096)
         sessions = _submit_all(server, config, SSB_QUERY_IDS[:4])
@@ -171,7 +171,7 @@ class TestClamping:
         server = _server(
             tables,
             max_concurrent=2,
-            elastic_policy=ALWAYS_GROW,
+            elastic=ALWAYS_GROW,
             budget=ResourceBudget(cpu_cores=8),
         )
         config = ExecutionConfig.cpu_only(4, block_tuples=4096)
@@ -198,7 +198,7 @@ class TestClamping:
         server = _server(
             tables,
             max_concurrent=3,
-            elastic_policy=ALWAYS_GROW.derive(max_dop=24),
+            elastic=ALWAYS_GROW.derive(max_dop=24),
             budget=ResourceBudget(dram_bytes=1e15),
         )
         config = ExecutionConfig.cpu_only(8, block_tuples=4096)
@@ -212,7 +212,7 @@ class TestClamping:
         server = _server(
             tables,
             max_concurrent=1,
-            elastic_policy=ALWAYS_GROW.derive(max_dop=4096),
+            elastic=ALWAYS_GROW.derive(max_dop=4096),
         )
         config = ExecutionConfig.cpu_only(23, block_tuples=4096)
         session = server.submit(ssb_query("Q1.1"), config)
@@ -229,7 +229,7 @@ class TestBudgetAccounting:
         server = _server(
             tables,
             max_concurrent=2,
-            elastic_policy=ALWAYS_SHRINK,
+            elastic=ALWAYS_SHRINK,
             budget=ResourceBudget(cpu_cores=12),
         )
         config = ExecutionConfig.cpu_only(6, block_tuples=4096)
@@ -272,7 +272,7 @@ class TestBudgetAccounting:
         server = _server(
             tables,
             max_concurrent=8,
-            elastic_policy=ALWAYS_SHRINK.derive(min_dop=3),
+            elastic=ALWAYS_SHRINK.derive(min_dop=3),
             budget=ResourceBudget(cpu_cores=12),
         )
         config = ExecutionConfig.cpu_only(6, block_tuples=4096)
@@ -291,9 +291,7 @@ class TestBudgetAccounting:
 
     def test_deterministic_for_fixed_workload(self, tables):
         def drive():
-            server = _server(
-                tables, max_concurrent=3, elastic_policy=ALWAYS_SHRINK
-            )
+            server = _server(tables, max_concurrent=3, elastic=ALWAYS_SHRINK)
             config = ExecutionConfig.cpu_only(6, block_tuples=4096)
             sessions = _submit_all(server, config, SSB_QUERY_IDS[:6])
             report = server.run()
@@ -319,29 +317,27 @@ class TestPolicyValidation:
         with pytest.raises(ValueError, match="window_seconds"):
             ElasticPolicy(window_seconds=0.0)
 
-    def test_shorthands_and_policy_are_mutually_exclusive(self):
-        with pytest.raises(ValueError, match="not both"):
-            EngineServer(elastic=True, elastic_policy=ElasticPolicy(), min_dop=2)
+    def test_elastic_takes_a_policy_or_none(self):
+        with pytest.raises(TypeError, match="ElasticPolicy"):
+            EngineServer(elastic=True)
+        policy = ElasticPolicy(min_dop=2, max_dop=8, target_utilization=0.6)
+        server = EngineServer(segment_rows=2048, elastic=policy)
+        assert server.elastic is policy
+        assert server._monitor.window_seconds == policy.window_seconds
+        assert server._metrics_monitor.window_seconds == policy.window_seconds
 
-    def test_knobs_without_elastic_switch_are_rejected(self):
-        """Knobs without elastic=True would be silently inert — the
-        caller would believe elasticity is active and get fixed dop."""
-        with pytest.raises(ValueError, match="elastic=True"):
-            EngineServer(max_dop=8)
-        with pytest.raises(ValueError, match="elastic=True"):
-            EngineServer(elastic_policy=ElasticPolicy(target_utilization=0.7))
-
-    def test_shorthand_knobs_build_the_policy(self):
-        server = EngineServer(
-            segment_rows=2048,
-            elastic=True,
-            min_dop=2,
-            max_dop=8,
-            target_utilization=0.6,
-        )
-        assert server.elastic_policy == ElasticPolicy(
-            min_dop=2, max_dop=8, target_utilization=0.6
-        )
+    def test_no_policy_means_fixed_dop(self, tables):
+        """``elastic=None`` (the default) never resizes, and the metrics
+        monitor keeps the default policy's window."""
+        server = EngineServer(segment_rows=2048)
+        load_ssb(server.engine, tables=tables)
+        assert server.elastic is None
+        default_window = ElasticPolicy().window_seconds
+        assert server._metrics_monitor.window_seconds == default_window
+        server.submit(ssb_query("Q1.1"), ExecutionConfig.cpu_only(6))
+        report = server.run()
+        assert report.resizes == 0
+        assert report.dop_trajectories() == {}
 
 
 class TestStageReDerivation:
@@ -403,7 +399,7 @@ class TestSessionDemandTracking:
         server = _server(
             tables,
             max_concurrent=2,
-            elastic_policy=ALWAYS_SHRINK.derive(min_dop=3),
+            elastic=ALWAYS_SHRINK.derive(min_dop=3),
             budget=ResourceBudget(cpu_cores=12),
         )
         config = ExecutionConfig.cpu_only(6, block_tuples=4096)
@@ -432,7 +428,7 @@ class TestSessionDemandTracking:
         server.check_conservation()
 
     def test_resize_updates_demand_only_in_compute(self, tables):
-        server = _server(tables, max_concurrent=1, elastic_policy=ALWAYS_SHRINK)
+        server = _server(tables, max_concurrent=1, elastic=ALWAYS_SHRINK)
         config = ExecutionConfig.cpu_only(6, block_tuples=4096)
         session = server.submit(ssb_query("Q2.1"), config)
         before = session.demand

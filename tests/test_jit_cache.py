@@ -155,10 +155,10 @@ class TestEviction:
 
     def test_zero_capacity_engine_raises_not_silently_disables(self):
         with pytest.raises(ValueError):
-            Proteus(segment_rows=1024, pipeline_cache_capacity=0)
+            Proteus(segment_rows=1024, cache_policy=CachePolicy(capacity=0))
 
     def test_evicted_pipeline_recompiles_and_still_works(self):
-        engine = _engine(pipeline_cache_capacity=1)
+        engine = _engine(cache_policy=CachePolicy(capacity=1))
         config = ExecutionConfig.cpu_only(2, block_tuples=512)
         r1 = engine.query(_plan(30), config)
         r2 = engine.query(_plan(40), config)  # evicts the first pipeline
@@ -231,7 +231,7 @@ class TestCachedOutputParity:
     def test_query_results_identical_with_and_without_cache(self):
         tables = {"t": _table()}
         cached_engine = _engine()
-        plain_engine = _engine(pipeline_cache_capacity=None)
+        plain_engine = _engine(cache_policy=None)
         assert plain_engine.pipeline_cache is None
         config = ExecutionConfig.hybrid(3, [0, 1], block_tuples=512)
         reference = ReferenceExecutor(tables).execute(_plan())
@@ -508,7 +508,7 @@ class TestSharedDirectory:
 
     def test_shared_cache_without_l1_is_rejected(self):
         with pytest.raises(ValueError):
-            Proteus(segment_rows=1024, pipeline_cache_capacity=None,
+            Proteus(segment_rows=1024, cache_policy=None,
                     shared_cache=SharedCacheDirectory())
 
 
@@ -553,21 +553,21 @@ class TestReviewRegressions:
         assert {e["entry"] for e in snap["top_entries"]} == {"expensive"}
         assert set(cache.stats.entry_hits) == {"expensive"}
 
-    def test_explicit_capacity_conflicts_with_cache_policy(self):
-        """Both knobs passed explicitly is ambiguous even when the
-        capacity equals the default (sentinel, not value comparison)."""
-        with pytest.raises(ValueError):
-            Proteus(segment_rows=1024, pipeline_cache_capacity=128,
-                    cache_policy=CachePolicy(capacity=64))
-        with pytest.raises(ValueError):
-            Proteus(segment_rows=1024, pipeline_cache_capacity=None,
-                    cache_policy=CachePolicy(capacity=64))
-        # one knob at a time stays fine
+    def test_cache_policy_is_the_one_cache_knob(self):
+        """The default engine caches under CachePolicy() (128 entries,
+        LRU); an explicit policy sets capacity and eviction; None
+        disables the cache."""
+        default = Proteus(segment_rows=1024)
+        assert default.cache_policy == CachePolicy()
+        assert default.pipeline_cache.capacity == 128
+        assert default.pipeline_cache.policy.name == "lru"
+        sized = Proteus(segment_rows=1024,
+                        cache_policy=CachePolicy(capacity=64,
+                                                 eviction="cost_aware"))
+        assert sized.pipeline_cache.capacity == 64
+        assert sized.pipeline_cache.policy.name == "cost_aware"
         assert Proteus(segment_rows=1024,
-                       cache_policy=CachePolicy(capacity=64)
-                       ).pipeline_cache.capacity == 64
-        assert Proteus(segment_rows=1024, pipeline_cache_capacity=64
-                       ).pipeline_cache.capacity == 64
+                       cache_policy=None).pipeline_cache is None
 
     def test_enabled_but_empty_cache_still_reported(self):
         """An empty PipelineCache is falsy (defines __len__); the batch

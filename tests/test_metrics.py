@@ -16,11 +16,11 @@ from repro import EngineServer, ExecutionConfig
 from repro.engine.metrics import (
     Counter,
     DEFAULT_LATENCY_BUCKETS,
-    Gauge,
     Histogram,
     MetricsPump,
     MetricsRegistry,
 )
+from repro.engine.scheduler import SchedulerError
 from repro.engine.tenancy import Tenant
 from repro.hardware.sim import Simulator
 from repro.ssb import generate_ssb, load_ssb, ssb_query
@@ -278,6 +278,32 @@ class TestServerMetricsSurface:
     def test_registry_shared_through_engine_facade(self, tables):
         server = _server(tables)
         assert server.metrics is server.engine.metrics
+
+    @pytest.mark.parametrize(
+        "until, stall",
+        [
+            # still paying compile latency: no phase has started yet
+            (0.05, "query q0 deadlocked; no process report available"),
+            # mid-execution: the report names the unfinished process
+            (0.065, "process q0:router-build-ht0-segment-ht0 never finished"),
+        ],
+    )
+    def test_stalled_drive_counts_only_terminal_statuses(self, tables, until, stall):
+        """A drive cut off mid-query fails the stuck session before its
+        driver is closed, so the session event the driver's cleanup
+        emits carries the terminal status, never 'running'."""
+        server = _server(tables)
+        session = server.submit(ssb_query("Q1.1"), ExecutionConfig.cpu_only(4))
+        server.start()
+        server.sim.run(until=until)
+        with pytest.raises(SchedulerError, match="batch stalled") as stalled:
+            server.finish_drive()
+        assert stall in str(stalled.value)
+        assert session.status == "failed"
+        assert session.error_class == "fatal"
+        counted = server.last_report.metrics["repro_sessions_total"]["values"]
+        assert counted == {'{tenant="default",qos_class="batch",status="failed"}': 1.0}
+        server.check_conservation()
 
 
 class TestFleetMetricsSurface:

@@ -209,7 +209,7 @@ class TestBudgetArithmetic:
         with pytest.raises(ValueError, match="no effect"):
             engine.serve(segment_rows=1024)
         with pytest.raises(ValueError, match="no effect"):
-            EngineServer(engine=engine, pipeline_cache_capacity=None)
+            EngineServer(engine=engine, cache_policy=None)
         # scheduler options still work with an existing engine
         server = engine.serve(max_concurrent=2)
         assert server.max_concurrent == 2
@@ -285,7 +285,7 @@ class TestWarmServerLatency:
         compile latency: two identical queries admitted together on a
         cold server must BOTH pay compilation — the second cannot finish
         before the first's compilation would even have completed."""
-        from repro.engine.scheduler import DEFAULT_COMPILE_SECONDS
+        from repro.hardware.costmodel import DEFAULT_COMPILE_SECONDS
 
         server = _server(tables, max_concurrent=2)
         config = ExecutionConfig.cpu_only(3, block_tuples=4096)
@@ -326,7 +326,7 @@ class TestWarmServerLatency:
         """The per-device compile-cost model: the same query compiled
         for the GPUs pays ~5-10x the per-pipeline latency of its
         CPU-only shape — no longer one flat constant per miss."""
-        from repro.engine.scheduler import DEFAULT_COMPILE_SECONDS
+        from repro.hardware.costmodel import DEFAULT_COMPILE_SECONDS
 
         server = _server(tables, max_concurrent=1)
         cpu = server.submit(

@@ -12,7 +12,7 @@ while every query still returns byte-identical rows.
 
 import pytest
 
-from repro import EngineServer, ExecutionConfig, Proteus, ResourceBudget
+from repro import EngineServer, ExecutionConfig, ResourceBudget
 from repro.engine.config import QoS
 from repro.engine.faults import DeviceLossFault, FaultPlan, RetryPolicy
 from repro.engine.reference import ReferenceExecutor
